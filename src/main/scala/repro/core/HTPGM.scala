@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.Arrays
 import scala.collection.mutable
 
 /** Exact Hierarchical Temporal Pattern Graph Mining (Algorithm 1).
@@ -23,6 +24,17 @@ import scala.collection.mutable
   * All four configurations return identical pattern sets (tested); the
   * toggles change work and retained state, which is what Tables VII/VIII
   * and the pruning ablation measure.
+  *
+  * Occurrence store (DESIGN.md §3). The instances of frequent events are
+  * flat `start`/`end`/`event` arrays over all sequences, addressed by
+  * position, with a per-sequence, per-event index of positions. A pattern
+  * kept for extension holds its occurrences as two int arrays: the
+  * sequence of each occurrence, and its k instance positions, grouped by
+  * sequence, so support is the number of sequence changes. A child's
+  * prefix is its parent, so the children of one (parent, extension event)
+  * pair are keyed by their new relation column alone, packed 2 bits per
+  * relation into a `Long`, and are σ/δ-filtered as soon as that pair is
+  * extended. A [[Pattern]] is built only for reported results.
   */
 object HTPGM {
 
@@ -33,8 +45,57 @@ object HTPGM {
   final case class ApproxFilter(eventAllowed: Int => Boolean,
                                 pairAllowed: (Int, Int) => Boolean)
 
-  /** Per-sequence occurrence lists of one pattern (or single event). */
-  private type OccStore = mutable.HashMap[Pattern, mutable.HashMap[Int, mutable.ArrayBuffer[Array[Instance]]]]
+  /** A relation column `r(0,j) .. r(j-1,j)` packed 2 bits per relation,
+    * `r(i,j)` at bits `2i, 2i+1`: the key of a child among its parent's
+    * children.
+    */
+  private[core] object RelColumn {
+    /** Relations a `Long` key holds, so patterns have at most 33 events. */
+    val MaxLength = 32
+
+    /** Mining level `k` packs columns of k−1 relations. */
+    def requireFits(level: Int): Unit =
+      require(level - 1 <= MaxLength,
+        s"HTPGM level $level needs ${level - 1} relations per candidate key, " +
+          s"but a packed key holds at most $MaxLength (patterns of at most ${MaxLength + 1} events)")
+
+    @inline def put(key: Long, i: Int, r: Byte): Long = key | (r.toLong << (2 * i))
+
+    def unpack(key: Long, length: Int): Array[Byte] =
+      Array.tabulate(length)(i => ((key >>> (2 * i)) & 3L).toByte)
+  }
+
+  /** A pattern kept for extension: events, relations laid out as
+    * [[Pattern.rels]], and its occurrences — `seqs(o)` is the sequence of
+    * occurrence `o`, `pos(o*k until (o+1)*k)` its instance positions in
+    * chronological order; occurrences are grouped by sequence.
+    */
+  private final class Stored(val events: Array[Int], val rels: Array[Byte],
+                             val seqs: Array[Int], val pos: Array[Int])
+
+  /** The occurrences of one candidate child, appended sequence by sequence. */
+  private final class Child {
+    val seqs = new mutable.ArrayBuilder.ofInt
+    val pos = new mutable.ArrayBuilder.ofInt
+    var occurrences = 0
+    var support = 0
+    private var lastSeq = -1
+
+    def add(seq: Int, parentPos: Array[Int], from: Int, k1: Int, x: Int): Unit = {
+      if (seq != lastSeq) { support += 1; lastSeq = seq }
+      seqs += seq
+      pos.addAll(parentPos, from, k1)
+      pos += x
+      occurrences += 1
+    }
+  }
+
+  /** Modelled bytes of a k-event occurrence store (Table VIII): two int
+    * array headers, plus one sequence id and k instance positions per
+    * occurrence.
+    */
+  private def storeBytes(k: Int, occurrences: Long): Long =
+    2 * 16L + 4L * (k + 1) * occurrences
 
   def mine(db: SequenceDB, cfg: MiningConfig,
            approx: Option[ApproxFilter] = None): MiningResult = {
@@ -57,22 +118,44 @@ object HTPGM {
       .filter(e => approx.forall(_.eventAllowed(e)))
       .toVector
     candidateNodes += db.numEvents
+    val supp1 = Array.tabulate(db.numEvents)(eventSupp)
 
-    // Per-sequence, per-event instance index restricted to frequent events.
-    val freq1Set = freq1.toSet
-    val instIndex: Array[Map[Int, Array[Instance]]] =
-      db.sequences.map(s => s.byEvent.filter { case (e, _) => freq1Set(e) }).toArray
+    // Instances of frequent events, flat over all sequences. `extEvents(s)`
+    // holds the sorted frequent events of sequence s and `exts(s)(i)` the
+    // positions of event `extEvents(s)(i)` there, in chronological order.
+    val isFreq = new Array[Boolean](db.numEvents)
+    freq1.foreach(isFreq(_) = true)
+    val startB = new mutable.ArrayBuilder.ofLong
+    val endB = new mutable.ArrayBuilder.ofLong
+    val eventB = new mutable.ArrayBuilder.ofInt
+    val extEvents = new Array[Array[Int]](n)
+    val exts = new Array[Array[Array[Int]]](n)
+    var nInst = 0
+    for ((s, si) <- db.sequences.iterator.zipWithIndex) {
+      val byEvent = mutable.TreeMap.empty[Int, mutable.ArrayBuilder.ofInt]
+      for (inst <- s.instances if isFreq(inst.event)) {
+        startB += inst.start; endB += inst.end; eventB += inst.event
+        byEvent.getOrElseUpdate(inst.event, new mutable.ArrayBuilder.ofInt) += nInst
+        nInst += 1
+      }
+      extEvents(si) = byEvent.keysIterator.toArray
+      exts(si) = byEvent.valuesIterator.map(_.result()).toArray
+    }
+    val start = startB.result(); val end = endB.result(); val event = eventB.result()
+    def extsOf(seq: Int, e: Int): Array[Int] = {
+      val i = Arrays.binarySearch(extEvents(seq), e)
+      if (i >= 0) exts(seq)(i) else null
+    }
 
     // Level-1 "occurrences": every instance is a 1-tuple.
-    var prevOcc: Vector[(Pattern, mutable.HashMap[Int, mutable.ArrayBuffer[Array[Instance]]])] =
-      freq1.map { e =>
-        val bySeq = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Array[Instance]]]
-        for (seq <- bitmaps(e).setBits; inst <- instIndex(seq).getOrElse(e, Array.empty[Instance]))
-          bySeq.getOrElseUpdate(seq, mutable.ArrayBuffer.empty) += Array(inst)
-        (Pattern(Vector(e), Vector.empty), bySeq)
-      }
+    var prev: Vector[Stored] = freq1.map { e =>
+      val seqs = new mutable.ArrayBuilder.ofInt
+      val pos = new mutable.ArrayBuilder.ofInt
+      for (seq <- bitmaps(e).setBits; x <- extsOf(seq, e)) { seqs += seq; pos += x }
+      new Stored(Array(e), Array.emptyByteArray, seqs.result(), pos.result())
+    }
 
-    // Node-level Apriori cache: sorted event multiset -> (passes, bitmap).
+    // Node-level Apriori cache: sorted event multiset -> passes.
     val nodeCache = mutable.HashMap.empty[Vector[Int], Boolean]
     def nodePasses(eventsSorted: Vector[Int]): Boolean =
       nodeCache.getOrElseUpdate(eventsSorted, {
@@ -86,115 +169,129 @@ object HTPGM {
         ok
       })
 
-    def conf(p: Pattern, supp: Int): Double =
-      supp.toDouble / p.events.iterator.map(eventSupp).max
+    // Frequent + confident L2 triples (E_i, r, E_j): a bit mask of the
+    // relations r, keyed by the packed event pair (E_i, E_j).
+    val freq2 = mutable.LongMap.empty[Int]
+    def pairKey(a: Int, b: Int): Long = (a.toLong << 32) | (b.toLong & 0xFFFFFFFFL)
 
-    def occBytes(k: Int): Long = 56L + 8L * k // occurrence tuple + map entry overhead
+    /** Extends every occurrence of `p` with each later instance of `eK`;
+      * `relMask(i)` holds the relations allowed between event i and eK.
+      */
+    def extend(p: Stored, eK: Int, relMask: Array[Int]): mutable.LongMap[Child] = {
+      val children = mutable.LongMap.empty[Child]
+      val k1 = p.events.length
+      val pos = p.pos; val seqs = p.seqs
+      var o = 0; var seq = -1; var xs: Array[Int] = null
+      while (o < seqs.length) {
+        if (seqs(o) != seq) { seq = seqs(o); xs = extsOf(seq, eK) }
+        if (xs != null) {
+          val base = o * k1
+          val firstStart = start(pos(base)); val last = pos(base + k1 - 1)
+          var xi = 0
+          while (xi < xs.length) {
+            val x = xs(xi)
+            // chronological tie-broken order: x after the occurrence's last instance
+            val after = start(x) > start(last) ||
+              (start(x) == start(last) && (end(x) > end(last) ||
+                (end(x) == end(last) && eK > event(last))))
+            if (after && end(x) - firstStart <= cfg.tMax) {
+              // Classify relations to each existing instance; abort on a gap
+              // relation or a relation outside the mask.
+              var key = 0L; var i = k1 - 1; var ok = true
+              while (ok && i >= 0) {
+                val q = pos(base + i)
+                val r = Relation.classify(start(q), end(q), start(x), end(x), cfg.eps, cfg.dO)
+                if (r == Relation.None || (relMask(i) & (1 << r)) == 0) ok = false
+                else key = RelColumn.put(key, i, r)
+                i -= 1
+              }
+              if (ok) {
+                var c = children.getOrNull(key)
+                if (c == null) { c = new Child; children.update(key, c) }
+                c.add(seq, pos, base, k1, x)
+              }
+            }
+            xi += 1
+          }
+        }
+        o += 1
+      }
+      children
+    }
 
-    // Frequent + confident L2 triples, encoded as a dense boolean table for
-    // allocation-free Lemma 5 lookups in the extension hot path.
-    val m = db.numEvents
-    val freq2 = new Array[Boolean](m * m * 4)
-    def encTriple(a: Int, r: Byte, b: Int): Int = (a * m + b) * 4 + r
-
-    val results = mutable.HashMap.empty[Pattern, Int]
+    val results = Map.newBuilder[Pattern, Int]
     var level = 1
     var maxLevelReached = 1
 
-    while (prevOcc.nonEmpty && level < cfg.maxLevel) {
+    while (prev.nonEmpty && level < cfg.maxLevel) {
       level += 1
       val k = level
+      RelColumn.requireFits(k)
 
       // Lemma 5 filtering of the extension alphabet (Trans only; level 2
       // always extends with all of 1Freq — there are no prior patterns).
       val allowedExt: Vector[Int] =
         if (k == 2 || !cfg.pruneTrans) freq1
         else {
-          val used = prevOcc.iterator.flatMap(_._1.events).toSet
+          val used = prev.iterator.flatMap(_.events).toSet
           freq1.filter(used)
         }
-
-      val counts: OccStore = mutable.HashMap.empty
-      var levelCandidateBytes = 0L
+      val trans = k > 2 && cfg.pruneTrans
+      val relMask = new Array[Int](k - 1)
+      val next = Vector.newBuilder[Stored]
 
       // The Apriori node filter (Lemmas 2-3) depends only on the event
       // multiset, so patterns are grouped by node and each (node, event)
       // pair is checked once — the HPG's node structure, not per-pattern.
-      val byNode = prevOcc.groupBy(_._1.events.sorted)
+      val byNode = prev.groupBy(_.events.toVector.sorted)
       for ((nodeEv, pats) <- byNode; eK <- allowedExt) {
         // A-HTPGM: at level 2 only graph-connected series pairs are mined.
         val approxOk = k != 2 || approx.forall(_.pairAllowed(nodeEv(0), eK))
         val nodeOk = !cfg.pruneApriori || nodePasses((nodeEv :+ eK).sorted)
         if (approxOk && nodeOk) {
-          for ((p, occBySeq) <- pats; (seq, occs) <- occBySeq) {
-            val exts = instIndex(seq).getOrElse(eK, null)
-            if (exts != null) {
-              var oi = 0
-              while (oi < occs.length) {
-                val occ = occs(oi)
-                val first = occ(0); val last = occ(occ.length - 1)
-                var xi = 0
-                while (xi < exts.length) {
-                  val inst = exts(xi)
-                  // chronological tie-broken order, inlined (no tuple alloc)
-                  val after = inst.start > last.start ||
-                    (inst.start == last.start && (inst.end > last.end ||
-                      (inst.end == last.end && inst.event > last.event)))
-                  if (after && inst.end - first.start <= cfg.tMax) {
-                    // Classify relations to each existing instance; abort on a
-                    // gap relation or (Trans) an infrequent L2 triple.
-                    val newRels = new Array[Byte](occ.length)
-                    var i = occ.length - 1; var ok = true
-                    while (ok && i >= 0) {
-                      val r = Relation.classify(occ(i).start, occ(i).end,
-                                                inst.start, inst.end, cfg.eps, cfg.dO)
-                      if (r == Relation.None) ok = false
-                      else if (k > 2 && cfg.pruneTrans &&
-                               !freq2(encTriple(p.events(i), r, eK))) ok = false
-                      else newRels(i) = r
-                      i -= 1
+          for (p <- pats) {
+            // (Trans) iterative verification: only relations r with
+            // (E_i, r, E_K) in the frequent L2 set; none at all ⇒ no child.
+            var i = 0; var feasible = true
+            while (i < k - 1) {
+              relMask(i) = if (trans) freq2.getOrElse(pairKey(p.events(i), eK), 0) else 7
+              feasible &&= relMask(i) != 0
+              i += 1
+            }
+            if (feasible) {
+              val children = extend(p, eK, relMask)
+              val maxSupp = math.max(p.events.iterator.map(supp1).max, supp1(eK))
+              var liveBytes = 0L
+              // σ/δ filtering. Frequent-but-unconfident patterns are still
+              // extended under NoPrune/Apriori (the paper's ablation cost);
+              // Trans stops them via Lemmas 6–7. Output requires both.
+              children.foreach { case (key, c) =>
+                candidatePatterns += c.occurrences
+                liveBytes += storeBytes(k, c.occurrences)
+                if (c.support >= minSupp) {
+                  val conf = c.support.toDouble / maxSupp
+                  if (conf >= cfg.delta || !cfg.pruneTrans) {
+                    val events = p.events :+ eK
+                    val rels = p.rels ++ RelColumn.unpack(key, k - 1)
+                    if (conf >= cfg.delta) {
+                      results += Pattern(events.toVector, rels.toVector) -> c.support
+                      if (k == 2) {
+                        val pk = pairKey(events(0), events(1))
+                        freq2(pk) = freq2.getOrElse(pk, 0) | (1 << rels(0))
+                      }
                     }
-                    if (ok) {
-                      candidatePatterns += 1
-                      val np = p.extended(eK, newRels.toIndexedSeq)
-                      counts.getOrElseUpdate(np, mutable.HashMap.empty)
-                        .getOrElseUpdate(seq, mutable.ArrayBuffer.empty) += (occ :+ inst)
-                      levelCandidateBytes += occBytes(k)
-                    }
+                    next += new Stored(events, rels, c.seqs.result(), c.pos.result())
+                    structureBytes += storeBytes(k, c.occurrences)
                   }
-                  xi += 1
                 }
-                oi += 1
               }
+              peakCandidateBytes = math.max(peakCandidateBytes, liveBytes)
             }
           }
         }
       }
-      peakCandidateBytes = math.max(peakCandidateBytes, levelCandidateBytes)
-
-      // σ/δ filtering. Frequent-but-unconfident patterns are still extended
-      // under NoPrune/Apriori (the paper's ablation cost); Trans stops them
-      // via Lemmas 6–7. Output always requires both thresholds.
-      val keptForOutput = mutable.ArrayBuffer.empty[(Pattern, Int)]
-      val keptForExtension = Vector.newBuilder[(Pattern, mutable.HashMap[Int, mutable.ArrayBuffer[Array[Instance]]])]
-      for ((p, bySeq) <- counts) {
-        val supp = bySeq.size
-        if (supp >= minSupp) {
-          val c = conf(p, supp)
-          if (c >= cfg.delta) keptForOutput += ((p, supp))
-          if (c >= cfg.delta || !cfg.pruneTrans) {
-            keptForExtension += ((p, bySeq))
-            structureBytes += bySeq.valuesIterator.map(_.length.toLong).sum * occBytes(k)
-          }
-        }
-      }
-      results ++= keptForOutput
-      if (k == 2)
-        keptForOutput.foreach { case (p, _) =>
-          freq2(encTriple(p.events(0), p.rel(0, 1), p.events(1))) = true
-        }
-      prevOcc = keptForExtension.result()
-      if (prevOcc.nonEmpty) maxLevelReached = k
+      prev = next.result()
+      if (prev.nonEmpty) maxLevelReached = k
     }
 
     structureBytes += peakCandidateBytes
@@ -205,6 +302,6 @@ object HTPGM {
       prunedNodes = prunedNodes,
       candidatePatterns = candidatePatterns,
       maxLevelReached = maxLevelReached)
-    MiningResult(results.toMap, eventSupp.filter { case (e, s) => s >= minSupp }, n, stats)
+    MiningResult(results.result(), eventSupp.filter { case (e, s) => s >= minSupp }, n, stats)
   }
 }
