@@ -1,6 +1,9 @@
 package repro.core
 
 import java.util.Arrays
+import java.util.concurrent.ConcurrentHashMap
+import java.util.concurrent.atomic.LongAdder
+import java.util.stream.IntStream
 import scala.collection.mutable
 
 /** Exact Hierarchical Temporal Pattern Graph Mining (Algorithm 1).
@@ -35,6 +38,21 @@ import scala.collection.mutable
   * pair are keyed by their new relation column alone, packed 2 bits per
   * relation into a `Long`, and are σ/δ-filtered as soon as that pair is
   * extended. A [[Pattern]] is built only for reported results.
+  *
+  * Parallel levels (DESIGN.md §3). Within level k each node of the HPG —
+  * an event multiset of L(k−1) with its patterns — is one task on the
+  * common `ForkJoinPool`. A task runs the whole per-node body: the A-HTPGM
+  * pair filter, the Apriori node check, the Lemma 5–7 relation masks, the
+  * extension and the σ/δ filter, and returns its candidate count, its
+  * largest live-candidate bytes and its kept children. Tasks read only
+  * frozen state (bitmaps, instance arrays, `freq2`, their own patterns)
+  * and share only the node cache, a `ConcurrentHashMap` that counts each
+  * node once. The calling thread merges the task results in node order
+  * into the results, the next level, `freq2` and the structure bytes.
+  * `freq2` is written only by the k = 2 merge and read only by tasks at
+  * k > 2, after that merge. The merge order is the order of the former
+  * sequential loop, so the result and every counter but the runtime do
+  * not depend on the schedule.
   */
 object HTPGM {
 
@@ -90,6 +108,16 @@ object HTPGM {
     }
   }
 
+  /** A child that passed the σ/δ filter: its store, support, and whether
+    * it is confident, i.e. a reported result.
+    */
+  private final class Kept(val stored: Stored, val support: Int, val confident: Boolean)
+
+  /** What one node task returns: its candidate count, its largest
+    * live-candidate bytes, and its kept children in loop order.
+    */
+  private final class NodeResult(val candidates: Long, val peakBytes: Long, val kept: Array[Kept])
+
   /** Modelled bytes of a k-event occurrence store (Table VIII): two int
     * array headers, plus one sequence id and k instance positions per
     * occurrence.
@@ -104,8 +132,6 @@ object HTPGM {
     val minSupp = cfg.minSupp(n)
 
     var structureBytes = 0L
-    var candidateNodes = 0L
-    var prunedNodes = 0L
     var candidatePatterns = 0L
     var peakCandidateBytes = 0L
 
@@ -117,7 +143,6 @@ object HTPGM {
       .filter(e => eventSupp(e) >= minSupp)
       .filter(e => approx.forall(_.eventAllowed(e)))
       .toVector
-    candidateNodes += db.numEvents
     val supp1 = Array.tabulate(db.numEvents)(eventSupp)
 
     // Instances of frequent events, flat over all sequences. `extEvents(s)`
@@ -155,17 +180,22 @@ object HTPGM {
       new Stored(Array(e), Array.emptyByteArray, seqs.result(), pos.result())
     }
 
-    // Node-level Apriori cache: sorted event multiset -> passes.
-    val nodeCache = mutable.HashMap.empty[Vector[Int], Boolean]
+    // Node-level Apriori cache: sorted event multiset -> passes. Tasks
+    // share it, so each node is counted once by the thread that adds it.
+    val nodeCache = new ConcurrentHashMap[Vector[Int], java.lang.Boolean]
+    val candidateNodes = new LongAdder
+    candidateNodes.add(db.numEvents)
+    val prunedNodes = new LongAdder
+    val nodeBytes = new LongAdder
     def nodePasses(eventsSorted: Vector[Int]): Boolean =
-      nodeCache.getOrElseUpdate(eventsSorted, {
-        candidateNodes += 1
+      nodeCache.computeIfAbsent(eventsSorted, _ => {
+        candidateNodes.increment()
         val bm = eventsSorted.map(bitmaps).reduce(_ and _)
-        structureBytes += bm.approxBytes
+        nodeBytes.add(bm.approxBytes)
         val supp = bm.cardinality
         val ok = supp >= minSupp &&
           supp.toDouble / eventsSorted.iterator.map(eventSupp).max >= cfg.delta
-        if (!ok) prunedNodes += 1
+        if (!ok) prunedNodes.increment()
         ok
       })
 
@@ -237,69 +267,93 @@ object HTPGM {
           freq1.filter(used)
         }
       val trans = k > 2 && cfg.pruneTrans
-      val relMask = new Array[Int](k - 1)
-      val next = Vector.newBuilder[Stored]
 
-      // The Apriori node filter (Lemmas 2-3) depends only on the event
-      // multiset, so patterns are grouped by node and each (node, event)
-      // pair is checked once — the HPG's node structure, not per-pattern.
-      val byNode = prev.groupBy(_.events.toVector.sorted)
-      for ((nodeEv, pats) <- byNode; eK <- allowedExt) {
-        // A-HTPGM: at level 2 only graph-connected series pairs are mined.
-        val approxOk = k != 2 || approx.forall(_.pairAllowed(nodeEv(0), eK))
-        val nodeOk = !cfg.pruneApriori || nodePasses((nodeEv :+ eK).sorted)
-        if (approxOk && nodeOk) {
-          for (p <- pats) {
-            // (Trans) iterative verification: only relations r with
-            // (E_i, r, E_K) in the frequent L2 set; none at all ⇒ no child.
-            var i = 0; var feasible = true
-            while (i < k - 1) {
-              relMask(i) = if (trans) freq2.getOrElse(pairKey(p.events(i), eK), 0) else 7
-              feasible &&= relMask(i) != 0
-              i += 1
-            }
-            if (feasible) {
-              val children = extend(p, eK, relMask)
-              val maxSupp = math.max(p.events.iterator.map(supp1).max, supp1(eK))
-              var liveBytes = 0L
-              // σ/δ filtering. Frequent-but-unconfident patterns are still
-              // extended under NoPrune/Apriori (the paper's ablation cost);
-              // Trans stops them via Lemmas 6–7. Output requires both.
-              children.foreach { case (key, c) =>
-                candidatePatterns += c.occurrences
-                liveBytes += storeBytes(k, c.occurrences)
-                if (c.support >= minSupp) {
-                  val conf = c.support.toDouble / maxSupp
-                  if (conf >= cfg.delta || !cfg.pruneTrans) {
-                    val events = p.events :+ eK
-                    val rels = p.rels ++ RelColumn.unpack(key, k - 1)
-                    if (conf >= cfg.delta) {
-                      results += Pattern(events.toVector, rels.toVector) -> c.support
-                      if (k == 2) {
-                        val pk = pairKey(events(0), events(1))
-                        freq2(pk) = freq2.getOrElse(pk, 0) | (1 << rels(0))
-                      }
+      // One task: the Apriori node filter (Lemmas 2-3) depends only on the
+      // event multiset, so each (node, event) pair is checked once — the
+      // HPG's node structure, not per-pattern — and then every pattern of
+      // the node is extended with the event.
+      def mineNode(nodeEv: Vector[Int], pats: Vector[Stored]): NodeResult = {
+        val relMask = new Array[Int](k - 1)
+        val kept = Array.newBuilder[Kept]
+        var candidates = 0L
+        var peakBytes = 0L
+        for (eK <- allowedExt) {
+          // A-HTPGM: at level 2 only graph-connected series pairs are mined.
+          val approxOk = k != 2 || approx.forall(_.pairAllowed(nodeEv(0), eK))
+          val nodeOk = !cfg.pruneApriori || nodePasses((nodeEv :+ eK).sorted)
+          if (approxOk && nodeOk) {
+            for (p <- pats) {
+              // (Trans) iterative verification: only relations r with
+              // (E_i, r, E_K) in the frequent L2 set; none at all ⇒ no child.
+              var i = 0; var feasible = true
+              while (i < k - 1) {
+                relMask(i) = if (trans) freq2.getOrElse(pairKey(p.events(i), eK), 0) else 7
+                feasible &&= relMask(i) != 0
+                i += 1
+              }
+              if (feasible) {
+                val children = extend(p, eK, relMask)
+                val maxSupp = math.max(p.events.iterator.map(supp1).max, supp1(eK))
+                var liveBytes = 0L
+                // σ/δ filtering. Frequent-but-unconfident patterns are still
+                // extended under NoPrune/Apriori (the paper's ablation cost);
+                // Trans stops them via Lemmas 6–7. Output requires both.
+                children.foreach { case (key, c) =>
+                  candidates += c.occurrences
+                  liveBytes += storeBytes(k, c.occurrences)
+                  if (c.support >= minSupp) {
+                    val confident = c.support.toDouble / maxSupp >= cfg.delta
+                    if (confident || !cfg.pruneTrans) {
+                      val stored = new Stored(p.events :+ eK, p.rels ++ RelColumn.unpack(key, k - 1),
+                        c.seqs.result(), c.pos.result())
+                      kept += new Kept(stored, c.support, confident)
                     }
-                    next += new Stored(events, rels, c.seqs.result(), c.pos.result())
-                    structureBytes += storeBytes(k, c.occurrences)
                   }
                 }
+                peakBytes = math.max(peakBytes, liveBytes)
               }
-              peakCandidateBytes = math.max(peakCandidateBytes, liveBytes)
             }
           }
+        }
+        new NodeResult(candidates, peakBytes, kept.result())
+      }
+
+      // One task per node on the common pool; the merge below runs on
+      // this thread in node order, so the output does not depend on the
+      // schedule.
+      val nodes = prev.groupBy(_.events.toVector.sorted).toArray
+      val mined = new Array[NodeResult](nodes.length)
+      IntStream.range(0, nodes.length).parallel()
+        .forEach(i => mined(i) = mineNode(nodes(i)._1, nodes(i)._2))
+
+      val next = Vector.newBuilder[Stored]
+      for (r <- mined) {
+        candidatePatterns += r.candidates
+        peakCandidateBytes = math.max(peakCandidateBytes, r.peakBytes)
+        for (c <- r.kept) {
+          val s = c.stored
+          if (c.confident) {
+            results += Pattern(s.events.toVector, s.rels.toVector) -> c.support
+            // freq2 is written only here at k = 2 and read by tasks at k > 2
+            if (k == 2) {
+              val pk = pairKey(s.events(0), s.events(1))
+              freq2(pk) = freq2.getOrElse(pk, 0) | (1 << s.rels(0))
+            }
+          }
+          next += s
+          structureBytes += storeBytes(k, s.seqs.length)
         }
       }
       prev = next.result()
       if (prev.nonEmpty) maxLevelReached = k
     }
 
-    structureBytes += peakCandidateBytes
+    structureBytes += nodeBytes.sum + peakCandidateBytes
     val stats = MiningStats(
       runtimeMillis = (System.nanoTime() - t0) / 1000000L,
       structureBytes = structureBytes,
-      candidateNodes = candidateNodes,
-      prunedNodes = prunedNodes,
+      candidateNodes = candidateNodes.sum,
+      prunedNodes = prunedNodes.sum,
       candidatePatterns = candidatePatterns,
       maxLevelReached = maxLevelReached)
     MiningResult(results.result(), eventSupp.filter { case (e, s) => s >= minSupp }, n, stats)

@@ -20,8 +20,6 @@ import scala.util.Random
   */
 object PatternedData {
 
-  val SlotsPerSeq = 48
-
   /** Marks an interval [from, until) of `row` true, clipped to the block. */
   private def mark(row: Array[Boolean], from: Int, until: Int): Unit = {
     var i = math.max(0, from)
@@ -32,7 +30,7 @@ object PatternedData {
     * `4 * floor(0.75 n / 4)` form cascade groups, the rest are noise.
     */
   def energy(spark: SparkSession, nSeqs: Int, nVars: Int,
-             slotsPerSeq: Int = SlotsPerSeq, seed: Long = 42L): DataFrame = {
+             slotsPerSeq: Int, seed: Long = 42L): DataFrame = {
     require(nVars >= 4, "need at least one cascade group")
     val rng = new Random(seed)
     val nGroups = math.max(1, (nVars * 3 / 4) / 4)
@@ -83,7 +81,7 @@ object PatternedData {
     * weather, 1/4 collision, remainder noise.
     */
   def city(spark: SparkSession, nSeqs: Int, nVars: Int,
-           slotsPerSeq: Int = SlotsPerSeq, seed: Long = 43L): DataFrame = {
+           slotsPerSeq: Int, seed: Long = 43L): DataFrame = {
     require(nVars >= 8, "need core weather + collision variables")
     val rng = new Random(seed)
     val nWeather = math.max(4, nVars * 5 / 12)

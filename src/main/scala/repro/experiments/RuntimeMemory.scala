@@ -60,7 +60,7 @@ object TableVIIVIII {
         deltas.map(d => cells.find(c => c.method == m && c.sigmaPct == s && c.deltaPct == d)
           .map(f).getOrElse("-"))
     }
-    Tables.render(s"Table $what — ${ds.name}",
+    Tables.render(s"Table $what — ${ds.name} (HTPGM rows on ${Tables.htpgmCores} cores, baselines on 1)",
       Seq("supp", "method") ++ deltas.map(d => s"conf $d%"), rows)
   }
 
@@ -158,7 +158,7 @@ object PruningAblation {
       Seq(cfg) ++ variants.map { case (v, _) =>
         cells.find(c => c.variant == v && c.config == cfg).map(c => Tables.fmtSeconds(c.runtimeMs)).get
       }
-    Tables.render(s"Pruning ablation (Figs. 6-7): runtime (s) — ${ds.name}",
+    Tables.render(s"Pruning ablation (Figs. 6-7): runtime (s) — ${ds.name} (on ${Tables.htpgmCores} cores)",
       Seq("config") ++ variants.map(_._1), rows)
   }
 

@@ -1,5 +1,6 @@
 package repro.experiments
 
+import java.util.concurrent.ForkJoinPool
 import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.baselines.{HDFS, IEMiner, TPMiner}
@@ -29,6 +30,11 @@ object Tables {
     "TPMiner" -> (TPMiner.mine(_, _)))
 
   def eHtpgm(db: SequenceDB, c: MiningConfig): MiningResult = HTPGM.mine(db, c)
+
+  /** Cores E-HTPGM and A-HTPGM mine a level on: the common pool's workers
+    * and the calling thread. The baselines run on one thread.
+    */
+  def htpgmCores: Int = ForkJoinPool.getCommonPoolParallelism + 1
 
   /** A-HTPGM at a correlation-graph edge density (Section VI.C.1 runs μ
     * values that keep 80/60/40/20% of the edges).

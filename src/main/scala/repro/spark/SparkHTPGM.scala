@@ -29,8 +29,19 @@ final case class OccRow(seq: Int, pat: Seq[Int], starts: Seq[Long], ends: Seq[Lo
   * Output is identical to [[repro.core.HTPGM]] (asserted in tests). The
   * optional `approx` argument reproduces A-HTPGM's L1/L2 restriction from
   * a correlation graph given as a set of unordered series-name edges.
+  * Every Dataset a call caches is unpersisted before it returns.
   */
 object SparkHTPGM {
+
+  /** The Datasets one `mine` call caches, released when it returns. */
+  private final class Caches {
+    private val all = scala.collection.mutable.ArrayBuffer.empty[Dataset[_]]
+
+    def keep[T](ds: Dataset[T]): Dataset[T] = { all += ds; ds.cache() }
+
+    /** Dependents first, so no cached plan is rebuilt over a released one. */
+    def release(): Unit = all.reverseIterator.foreach(_.unpersist())
+  }
 
   /** Mine an instance DataFrame produced by `SequenceBuilder.instances`
     * (columns seq, series, symbol, start, end). Event ids use the same
@@ -39,6 +50,12 @@ object SparkHTPGM {
     */
   def mine(instDf: DataFrame, cfg: MiningConfig,
            approxEdges: Option[Set[(String, String)]] = None): MiningResult = {
+    val caches = new Caches
+    try mineWith(instDf, cfg, approxEdges, caches) finally caches.release()
+  }
+
+  private def mineWith(instDf: DataFrame, cfg: MiningConfig,
+                       approxEdges: Option[Set[(String, String)]], caches: Caches): MiningResult = {
     val spark = instDf.sparkSession
     import spark.implicits._
     val t0 = System.nanoTime()
@@ -51,11 +68,10 @@ object SparkHTPGM {
     val eventSeriesName = dict.toSeq.sortBy(_._2).map(_._1._1).toIndexedSeq
     val dictDf = dict.toSeq.map { case ((s, y), e) => (s, y, e) }.toDF("series", "symbol", "event")
 
-    val inst: Dataset[InstRow] = instDf
+    val inst: Dataset[InstRow] = caches.keep(instDf
       .join(broadcast(dictDf), Seq("series", "symbol"))
       .select($"seq".cast("int"), $"event", $"start".cast("long"), $"end".cast("long"))
-      .as[InstRow]
-      .cache()
+      .as[InstRow])
 
     val nSeq = inst.select("seq").distinct().count().toInt
     val minSupp = cfg.minSupp(nSeq)
@@ -83,7 +99,7 @@ object SparkHTPGM {
       }
     }
 
-    val finst = inst.filter(i => freq1.contains(i.event)).cache()
+    val finst = caches.keep(inst.filter(i => freq1.contains(i.event)))
 
     // ---- L2: Catalyst self-join ------------------------------------------
     val a = finst.toDF("seq", "ae", "asx", "aex")
@@ -92,12 +108,11 @@ object SparkHTPGM {
       ($"asx" === $"bsx" && ($"aex" < $"bex" || ($"aex" === $"bex" && $"ae" < $"be")))
     val relCol = Relation.classifyCol($"asx", $"aex", $"bsx", $"bex", cfg.eps, cfg.dO)
     val pairAllowedUdf = udf(pairAllowed)
-    val joined = a.join(b, Seq("seq"))
+    val joined = caches.keep(a.join(b, Seq("seq"))
       .where(chrono && ($"bex" - $"asx" <= cfg.tMax))
       .withColumn("rel", relCol)
       .where($"rel" =!= Relation.None.toInt)
-      .where(pairAllowedUdf($"ae", $"be"))
-      .cache()
+      .where(pairAllowedUdf($"ae", $"be")))
 
     val l2counts = joined.select($"ae", $"rel", $"be", $"seq").distinct()
       .groupBy("ae", "rel", "be").count()
@@ -114,14 +129,14 @@ object SparkHTPGM {
 
     // ---- L≥3: occurrence extension via cogroup ---------------------------
     val freq2Keys: Set[(Int, Int, Int)] = l2kept.keySet
-    var occ: Dataset[OccRow] = joined
+    var occ: Dataset[OccRow] = caches.keep(joined
       .select($"seq", $"ae", $"asx", $"aex", $"be", $"bsx", $"bex", $"rel")
       .as[(Int, Int, Long, Long, Int, Long, Long, Int)]
       .filter(r => freq2Keys.contains((r._2, r._8, r._5)))
       .map { case (seq, ae, as_, aend, be, bs, bend, rel) =>
         OccRow(seq, Pattern(Vector(ae, be), Vector(rel.toByte)).encode.toSeq,
                Seq(as_, bs), Seq(aend, bend))
-      }.cache()
+      })
 
     var level = 2
     var maxLevelReached = if (l2kept.nonEmpty) 2 else 1
@@ -135,7 +150,7 @@ object SparkHTPGM {
       val bEps = cfg.eps; val bDO = cfg.dO; val bTMax = cfg.tMax
       val bFreq2 = freq2Keys; val bAllowed = allowedExt
 
-      val extended: Dataset[OccRow] = occ.groupByKey(_.seq)
+      val extended: Dataset[OccRow] = caches.keep(occ.groupByKey(_.seq)
         .cogroup(finst.groupByKey(_.seq)) { (seq, occs, insts) =>
           val byEvent = insts.toArray.groupBy(_.event)
             .view.mapValues(_.sortBy(i => (i.start, i.end))).toMap
@@ -164,7 +179,7 @@ object SparkHTPGM {
               }
             }
           }
-        }.cache()
+        })
 
       val counts = extended.toDF().groupBy("pat")
         .agg(countDistinct("seq").as("supp"))
@@ -181,7 +196,7 @@ object SparkHTPGM {
         results ++= kept.map { case (patSeq, s) => Pattern.decode(patSeq.toArray) -> s }
         val keptKeys = kept.map(_._1).toSet
         val prevOcc = occ
-        occ = extended.filter(o => keptKeys.contains(o.pat)).cache()
+        occ = caches.keep(extended.filter(o => keptKeys.contains(o.pat)))
         prevOcc.unpersist()
       }
     }

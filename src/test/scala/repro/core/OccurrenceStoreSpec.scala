@@ -87,18 +87,34 @@ class OccurrenceStoreSpec extends AnyFunSuite with PropSupport {
       (14L, 2L, 4L, 10L) -> Map(
         "All" -> (198, 81, 6, 3), "Apriori" -> (249, 84, 7, 3),
         "Trans" -> (201, 6, 0, 3), "NoPrune" -> (256, 6, 0, 3), "A-HTPGM" -> (70, 65, 4, 2)))
-    for (((seed, eps, dO, tMax), want) <- pinned) {
-      val db = TestDbs.random(seed, nSeqs = 8, nEvents = 6, pPresent = 0.7, horizon = 20)
-      val cfg = MiningConfig(sigma = 0.3, delta = 0.4, eps = eps, dO = dO, tMax = tMax)
-      val n = db.seriesNames.size
-      val chain = CorrelationGraph(n, Array.tabulate(n, n)((i, j) => math.abs(i - j) == 1))
-      val runs = configs.map { case (name, tweak) => name -> HTPGM.mine(db, tweak(cfg)) } :+
-        ("A-HTPGM" -> AHTPGM.mine(db, cfg, chain))
-      for ((name, r) <- runs) {
-        val s = r.stats
-        assert((s.candidatePatterns, s.candidateNodes, s.prunedNodes, s.maxLevelReached) == want(name),
-          s"seed=$seed $name")
-      }
+    for (((seed, eps, dO, tMax), want) <- pinned; (name, r) <- fixedRuns(seed, eps, dO, tMax)) {
+      val s = r.stats
+      assert((s.candidatePatterns, s.candidateNodes, s.prunedNodes, s.maxLevelReached) == want(name),
+        s"seed=$seed $name")
     }
+  }
+
+  test("structure bytes of fixed inputs") {
+    // Table VIII bytes, taken from the sequential level loop the parallel
+    // per-node tasks replaced
+    val pinned = Seq(
+      (11L, 0L, 1L, Long.MaxValue) -> Map(
+        "All" -> 4264L, "Apriori" -> 4384L, "Trans" -> 2560L, "NoPrune" -> 2584L, "A-HTPGM" -> 2240L),
+      (13L, 1L, 3L, 15L) -> Map(
+        "All" -> 5528L, "Apriori" -> 5696L, "Trans" -> 3296L, "NoPrune" -> 3296L, "A-HTPGM" -> 2428L),
+      (14L, 2L, 4L, 10L) -> Map(
+        "All" -> 4056L, "Apriori" -> 4128L, "Trans" -> 2256L, "NoPrune" -> 2256L, "A-HTPGM" -> 2396L))
+    for (((seed, eps, dO, tMax), want) <- pinned; (name, r) <- fixedRuns(seed, eps, dO, tMax))
+      assert(r.stats.structureBytes == want(name), s"seed=$seed $name")
+  }
+
+  /** The four pruning configs and chain-graph A-HTPGM on one fixed input. */
+  private def fixedRuns(seed: Long, eps: Long, dO: Long, tMax: Long): Seq[(String, MiningResult)] = {
+    val db = TestDbs.random(seed, nSeqs = 8, nEvents = 6, pPresent = 0.7, horizon = 20)
+    val cfg = MiningConfig(sigma = 0.3, delta = 0.4, eps = eps, dO = dO, tMax = tMax)
+    val n = db.seriesNames.size
+    val chain = CorrelationGraph(n, Array.tabulate(n, n)((i, j) => math.abs(i - j) == 1))
+    configs.map { case (name, tweak) => name -> HTPGM.mine(db, tweak(cfg)) } :+
+      ("A-HTPGM" -> AHTPGM.mine(db, cfg, chain))
   }
 }

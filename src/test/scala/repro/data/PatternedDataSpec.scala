@@ -79,7 +79,7 @@ class PatternedDataSpec extends SparkSpec {
   }
 
   test("generators validate their shape arguments") {
-    assertThrows[IllegalArgumentException](PatternedData.energy(spark, 1, 2))
-    assertThrows[IllegalArgumentException](PatternedData.city(spark, 1, 4))
+    assertThrows[IllegalArgumentException](PatternedData.energy(spark, 1, 2, 24))
+    assertThrows[IllegalArgumentException](PatternedData.city(spark, 1, 4, 24))
   }
 }

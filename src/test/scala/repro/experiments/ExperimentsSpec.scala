@@ -12,6 +12,18 @@ class ExperimentsSpec extends SparkSpec {
     assert(lines.drop(1).map(_.length).distinct.size <= 2) // padded rows align
   }
 
+  test("runtime tables name the cores of the HTPGM rows in their titles") {
+    val ds = Workloads.dataport(spark)
+    val cores = s"${java.util.concurrent.ForkJoinPool.getCommonPoolParallelism + 1} cores"
+    val cells = Seq(TableVIIVIII.Cell("E-HTPGM", 20, 20, 1500L, 2048L, 7))
+    for (table <- Seq(TableVIIVIII.renderRuntime(ds, cells), TableVIIVIII.renderMemory(ds, cells)))
+      assert(table.linesIterator.next().contains(s"HTPGM rows on $cores, baselines on 1"), table)
+    val ablation = PruningAblation.variants.map { case (v, _) =>
+      PruningAblation.Cell(v, "s=20% d=20%", 1500L, 7, 100L)
+    }
+    assert(PruningAblation.render(ds, ablation).linesIterator.next().contains(s"on $cores"))
+  }
+
   test("Tables.cfg builds percent thresholds with the experiment t_max") {
     val c = Tables.cfg(20, 50)
     assert(c.sigma == 0.2 && c.delta == 0.5)

@@ -72,6 +72,17 @@ class SparkHTPGMSpec extends SparkSpec {
     assert(dist.patterns == local.patterns)
   }
 
+  test("mine releases every Dataset it cached") {
+    paperInst.count() // the input's own cache is the caller's, filled before
+    val before = spark.sparkContext.getPersistentRDDs.keySet
+    val cfg = MiningConfig(sigma = 0.5, delta = 0.5, maxLevel = 4)
+    assert(SparkHTPGM.mine(paperInst, cfg).stats.maxLevelReached >= 3,
+      "sanity: the run must cache level-k occurrences")
+    val after = spark.sparkContext.getPersistentRDDs.keySet
+    assert(after.size <= before.size)
+    assert(after.subsetOf(before), s"left cached: ${after -- before}")
+  }
+
   test("approximate mode with no edges mines nothing") {
     val dist = SparkHTPGM.mine(paperInst, MiningConfig(0.7, 0.7), approxEdges = Some(Set.empty))
     assert(dist.patterns.isEmpty)
